@@ -281,32 +281,24 @@ impl Verifier<'_> {
         prov: &ProvenanceObject,
         anchors: &[TrustAnchor],
     ) -> Verification {
-        let mut v = self.verify(object_hash, prov);
-        for anchor in anchors {
-            let anchored = prov.record(anchor.oid, anchor.seq);
-            let intact = anchored.is_some_and(|r| r.checksum == anchor.checksum);
-            if !intact {
-                v.issues.push(TamperEvidence::AnchorViolation {
-                    oid: anchor.oid,
-                    seq: anchor.seq,
-                });
-                continue;
+        self.observed(|| {
+            let mut v = self.verify_chains(object_hash, prov, HashMap::new());
+            for anchor in anchors {
+                // The anchored record must still be there with its exact
+                // checksum; while it is, the chain cannot have been rolled
+                // back before it.
+                let intact = prov
+                    .record(anchor.oid, anchor.seq)
+                    .is_some_and(|r| r.checksum == anchor.checksum);
+                if !intact {
+                    v.issues.push(TamperEvidence::AnchorViolation {
+                        oid: anchor.oid,
+                        seq: anchor.seq,
+                    });
+                }
             }
-            // The chain must not have been rolled back before the anchor.
-            let newest = prov
-                .records
-                .iter()
-                .filter(|r| r.output_oid == anchor.oid)
-                .map(|r| r.seq_id)
-                .max();
-            if newest.is_none_or(|n| n < anchor.seq) {
-                v.issues.push(TamperEvidence::AnchorViolation {
-                    oid: anchor.oid,
-                    seq: anchor.seq,
-                });
-            }
-        }
-        v
+            v
+        })
     }
 
     /// Verifies provenance whose oldest records were compacted away behind
@@ -331,36 +323,40 @@ impl Verifier<'_> {
         prov: &ProvenanceObject,
         sealed: &SealedCheckpoint,
     ) -> Verification {
-        let mut prior: HashMap<ObjectId, (u64, Vec<u8>)> = HashMap::new();
-        let seal_ok = sealed.verify(self.keys());
-        if seal_ok {
-            for anchor in &sealed.checkpoint.anchors {
-                prior.insert(anchor.oid, (anchor.seq, anchor.checksum.clone()));
+        self.observed(|| {
+            // A seal that fails verification contributes no anchors.
+            let seal_ok = sealed.verify(self.keys());
+            let anchors = sealed
+                .checkpoint
+                .anchors
+                .iter()
+                .filter(|_| seal_ok)
+                .map(|a| (a.oid, (a.seq, a.checksum.as_slice())))
+                .collect();
+            let mut v = self.verify_chains(object_hash, prov, anchors);
+            if !seal_ok {
+                v.issues.push(TamperEvidence::CheckpointMismatch {
+                    oid: prov.target,
+                    seq: 0,
+                });
+                return v;
             }
-        }
-        let mut v = self.verify_inner_with_prior(object_hash, prov, &prior);
-        if !seal_ok {
-            v.issues.push(TamperEvidence::CheckpointMismatch {
-                oid: prov.target,
-                seq: 0,
-            });
-        } else {
             // A record presented *at* an anchored slot must carry the
             // sealed checksum — otherwise the server rewrote history it
             // already committed to.
             for anchor in &sealed.checkpoint.anchors {
-                if let Some(r) = prov.record(anchor.oid, anchor.seq) {
-                    if r.checksum != anchor.checksum {
-                        v.issues.push(TamperEvidence::CheckpointMismatch {
-                            oid: anchor.oid,
-                            seq: anchor.seq,
-                        });
-                    }
+                if prov
+                    .record(anchor.oid, anchor.seq)
+                    .is_some_and(|r| r.checksum != anchor.checksum)
+                {
+                    v.issues.push(TamperEvidence::CheckpointMismatch {
+                        oid: anchor.oid,
+                        seq: anchor.seq,
+                    });
                 }
             }
-        }
-        self.record_outcome(&v);
-        v
+            v
+        })
     }
 }
 

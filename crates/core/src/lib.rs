@@ -98,9 +98,7 @@ pub use record::{InputRef, ProvenanceRecord, RecordKind};
 pub use slice::{
     BoundaryLink, Polynomial, QueryAnswer, QueryBounds, QueryOp, QuerySpec, SliceProof,
 };
-pub use tenant::{
-    federated_verify, FederatedReport, TenantDirectory, TenantEvidenceCounters, TenantReport,
-};
+pub use tenant::{federated_verify, FederatedReport, TenantDirectory, TenantReport};
 pub use tracker::{ComplexReport, ProvenanceTracker, TrackerConfig};
 pub use verify::{
     EvidenceCounters, EvidenceKind, StreamingVerifier, TamperEvidence, Verification, Verifier,

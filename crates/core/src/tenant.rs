@@ -17,7 +17,7 @@
 use crate::denial::{DenialProof, SignedRoot};
 use crate::merkle::shard_tree_of;
 use crate::provenance::collect;
-use crate::verify::{EvidenceKind, TamperEvidence, Verifier};
+use crate::verify::{EvidenceCounters, EvidenceKind, TamperEvidence, Verifier};
 use rand::RngCore;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -26,7 +26,7 @@ use tep_crypto::pki::{Certificate, CertificateAuthority, KeyDirectory, Participa
 use tep_crypto::rsa::RsaPublicKey;
 use tep_crypto::ParticipantId;
 use tep_model::{ObjectId, TenantId};
-use tep_obs::{names, Counter, Registry};
+use tep_obs::Registry;
 use tep_storage::TenantShards;
 
 /// High bits folded into every tenant signer's [`ParticipantId`], so
@@ -163,41 +163,6 @@ impl TenantDirectory {
     }
 }
 
-/// Per-tenant [`EvidenceKind`] counters: the same
-/// `tep_core_evidence_<kind>_total` family as
-/// [`crate::verify::EvidenceCounters`], with a `tenant` label baked
-/// into each name via [`names::with_tenant`] — so damage shows up both
-/// in the unlabeled aggregate (recorded by the verify paths) and
-/// attributed to the tenant it hit.
-#[derive(Clone)]
-pub struct TenantEvidenceCounters {
-    counters: Vec<Counter>,
-}
-
-impl TenantEvidenceCounters {
-    /// Registers (or re-resolves) `tenant`'s labeled counters.
-    pub fn new(registry: &Registry, tenant: TenantId) -> TenantEvidenceCounters {
-        TenantEvidenceCounters {
-            counters: EvidenceKind::ALL
-                .iter()
-                .map(|k| registry.counter(&names::with_tenant(&k.counter_name(), tenant.raw())))
-                .collect(),
-        }
-    }
-
-    /// Counts one piece of evidence of `kind` against the tenant.
-    pub fn record(&self, kind: EvidenceKind) {
-        self.counters[kind as usize].inc();
-    }
-
-    /// Counts every issue in `issues` by kind.
-    pub fn record_issues(&self, issues: &[TamperEvidence]) {
-        for issue in issues {
-            self.record(issue.kind());
-        }
-    }
-}
-
 /// One tenant's slice of a [`FederatedReport`].
 #[derive(Clone, Debug)]
 pub struct TenantReport {
@@ -260,7 +225,7 @@ impl FederatedReport {
 /// object verified under the same keys.
 ///
 /// When `registry` is given, every issue is recorded into that tenant's
-/// labeled evidence counters ([`TenantEvidenceCounters`]) — exact
+/// labeled evidence counters ([`EvidenceCounters::labeled`]) — exact
 /// attribution, no cross-tenant bleed.
 pub fn federated_verify(
     dir: &TenantDirectory,
@@ -342,7 +307,7 @@ pub fn federated_verify(
             }
         }
         if let Some(reg) = registry {
-            TenantEvidenceCounters::new(reg, tenant).record_issues(&tr.issues);
+            EvidenceCounters::labeled(reg, Some(tenant)).record_issues(&tr.issues);
         }
         report.tenants.push(tr);
     }
@@ -357,6 +322,7 @@ mod tests {
     use rand::SeedableRng;
     use std::path::PathBuf;
     use tep_model::Value;
+    use tep_obs::names;
     use tep_storage::vfs::{FaultConfig, FaultVfs};
     use tep_storage::{shard_path, Vfs};
 

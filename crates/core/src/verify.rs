@@ -17,6 +17,13 @@
 //!
 //! All violations found are reported, not just the first, so attack
 //! forensics can see the full blast radius.
+//!
+//! The per-object chain rules live in one engine, [`StreamingVerifier`]:
+//! the batch, parallel, recovered and checkpoint-attested entry points of
+//! [`Verifier`] push buffered records through it in wire order, and tep-net
+//! recipients feed it frame by frame. [`Verifier::verify_slice`] shares the
+//! per-record checks but keeps its own coverage pass, since a query slice
+//! is a projection whose chains need not be contiguous.
 
 use crate::parallel::parallel_map;
 use crate::provenance::ProvenanceObject;
@@ -25,12 +32,14 @@ use crate::slice::{
     backward_closure, forward_closure, polynomial_over, AggEdge, QueryAnswer, QueryOp, SliceProof,
 };
 use crate::streaming::{CheckpointError, RecordSlot, RecordStreamDigest, VerifierCheckpoint};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::ops::Range;
 use tep_crypto::digest::HashAlgorithm;
 use tep_crypto::pki::{KeyDirectory, ParticipantId};
-use tep_model::ObjectId;
-use tep_obs::{Counter, Histogram, Registry};
+use tep_model::{ObjectId, TenantId};
+use tep_obs::{names, Counter, Histogram, Registry};
 
 /// The kind of a piece of tamper evidence, independent of the offending
 /// record's identity — the unit both verify paths (batch/recovered and the
@@ -141,21 +150,36 @@ impl fmt::Display for EvidenceKind {
 }
 
 /// One [`Counter`] per [`EvidenceKind`], registered as
-/// `tep_core_evidence_<kind>_total`. Cheap to clone; every verify surface
-/// (batch, recovered, streaming, tep-net client) attached to the same
-/// [`Registry`] shares the same counters.
+/// `tep_core_evidence_<kind>_total`, optionally with a `tenant` label
+/// baked into each name (see [`names::with_tenant`]). Cheap to clone;
+/// every verify surface (batch, recovered, streaming, tep-net client)
+/// attached to the same [`Registry`] shares the unlabeled counters, and
+/// federated verification attributes the same evidence per tenant.
 #[derive(Clone)]
 pub struct EvidenceCounters {
     counters: Vec<Counter>,
 }
 
 impl EvidenceCounters {
-    /// Registers (or re-resolves) the per-kind counters in `registry`.
+    /// Registers (or re-resolves) the unlabeled per-kind counters in
+    /// `registry`.
     pub fn new(registry: &Registry) -> Self {
+        Self::labeled(registry, None)
+    }
+
+    /// Registers (or re-resolves) the per-kind counters in `registry`,
+    /// labeled with `tenant` when one is given.
+    pub fn labeled(registry: &Registry, tenant: Option<TenantId>) -> Self {
         EvidenceCounters {
             counters: EvidenceKind::ALL
                 .iter()
-                .map(|k| registry.counter(&k.counter_name()))
+                .map(|k| {
+                    let name = k.counter_name();
+                    registry.counter(&match tenant {
+                        Some(t) => names::with_tenant(&name, t.raw()),
+                        None => name,
+                    })
+                })
                 .collect(),
         }
     }
@@ -549,135 +573,50 @@ impl<'a> Verifier<'a> {
 
     /// Verifies that `prov` is an untampered history of the object whose
     /// current hash is `object_hash`.
+    ///
+    /// The records are stable-sorted into wire order, `(output_oid,
+    /// seq_id)`, and pushed through a [`StreamingVerifier`] — the one
+    /// implementation of the per-object chain rules — so the verdict does
+    /// not depend on the order `prov` lists its records in, and equals what
+    /// a tep-net recipient streaming the same records reports. When no
+    /// record targets the object, the result is `NoRecords` together with
+    /// whatever per-record evidence the other records carry.
     pub fn verify(&self, object_hash: &[u8], prov: &ProvenanceObject) -> Verification {
-        let timer = self.obs.as_ref().map(|o| o.latency_ns.start_timer());
-        let v = self.verify_inner(object_hash, prov);
+        self.observed(|| self.verify_chains(object_hash, prov, HashMap::new()))
+    }
+
+    /// Times `run` and records the [`Verification`] it returns in the
+    /// attached observability, exactly once. Every public entry point goes
+    /// through here, so `tep_core_verify_runs_total` always equals the
+    /// `tep_core_verify_ns` sample count and every reported issue is
+    /// counted under its kind.
+    pub(crate) fn observed(&self, run: impl FnOnce() -> Verification) -> Verification {
+        let _timer = self.obs.as_ref().map(|o| o.latency_ns.start_timer());
+        let v = run();
         if let Some(obs) = &self.obs {
             obs.record_outcome(&v);
         }
-        drop(timer);
         v
     }
 
-    fn verify_inner(&self, object_hash: &[u8], prov: &ProvenanceObject) -> Verification {
-        self.verify_inner_with_prior(object_hash, prov, &HashMap::new())
-    }
-
-    /// Like [`Self::verify_inner`], but with a map of *attested prior
-    /// records*: `oid → (seq, checksum)` slots a sealed compaction
-    /// checkpoint vouches for. A chain-start record whose predecessor was
-    /// compacted away resolves through this map — both structurally and
-    /// for signature verification (the anchor checksum substitutes for the
-    /// excised record's) — instead of surfacing as `MissingRecord`.
-    pub(crate) fn verify_inner_with_prior(
+    /// The chain rules over `prov`, with `anchors` — `oid → (seq,
+    /// checksum)` slots a sealed compaction checkpoint attests — as the
+    /// fallback the stream consults at chain start and for predecessor
+    /// checksums (see [`StreamingVerifier`]).
+    pub(crate) fn verify_chains(
         &self,
         object_hash: &[u8],
         prov: &ProvenanceObject,
-        prior: &HashMap<ObjectId, (u64, Vec<u8>)>,
+        anchors: HashMap<ObjectId, (u64, &[u8])>,
     ) -> Verification {
-        let mut v = Verification::default();
-        let target = prov.target;
-
-        // Index records; detect forks.
-        let mut index: HashMap<(ObjectId, u64), &ProvenanceRecord> = HashMap::new();
-        for r in &prov.records {
-            let key = (r.output_oid, r.seq_id);
-            if index.insert(key, r).is_some() {
-                v.issues.push(TamperEvidence::DuplicateRecord {
-                    oid: key.0,
-                    seq: key.1,
-                });
-            }
+        let mut records: Vec<&ProvenanceRecord> = prov.records.iter().collect();
+        records.sort_by_key(|r| (r.output_oid, r.seq_id));
+        let mut stream =
+            StreamingVerifier::for_batch(self.keys, self.alg, prov.target, records.len(), anchors);
+        for r in records {
+            stream.push_borrowed(r);
         }
-
-        // Condition 1: the delivered object matches the newest record.
-        let latest = match prov.latest() {
-            Some(r) => r,
-            None => {
-                v.issues.push(TamperEvidence::NoRecords { oid: target });
-                return v;
-            }
-        };
-        if latest.output_hash != object_hash {
-            v.issues
-                .push(TamperEvidence::OutputMismatch { oid: target });
-        }
-
-        // Structural checks per object chain.
-        let mut by_object: HashMap<ObjectId, Vec<&ProvenanceRecord>> = HashMap::new();
-        for r in &prov.records {
-            by_object.entry(r.output_oid).or_default().push(r);
-        }
-        for (oid, mut chain) in by_object {
-            chain.sort_by_key(|r| r.seq_id);
-            for (i, r) in chain.iter().enumerate() {
-                self.check_shape(r, &mut v);
-                let links_to_prior = match r.kind {
-                    RecordKind::Insert | RecordKind::Aggregate => None,
-                    RecordKind::Update => r.inputs.first().and_then(|inp| inp.prev_seq),
-                };
-                if i == 0 {
-                    // Chain start: must not claim a predecessor we can't see
-                    // ... unless it's an aggregate (whose "predecessors" are
-                    // the input objects, checked below), a first-touch
-                    // update (prev None), or the predecessor is an attested
-                    // prior slot (compacted away behind a sealed
-                    // checkpoint).
-                    if let Some(prev) = links_to_prior {
-                        let attested = prior.get(&oid).is_some_and(|(seq, _)| *seq == prev);
-                        if !attested {
-                            v.issues
-                                .push(TamperEvidence::MissingRecord { oid, seq: prev });
-                        }
-                    }
-                } else {
-                    let prior = chain[i - 1];
-                    match (r.kind, links_to_prior) {
-                        (RecordKind::Update, Some(prev)) if prev == prior.seq_id => {}
-                        _ => {
-                            v.issues
-                                .push(TamperEvidence::BrokenChain { oid, seq: r.seq_id });
-                        }
-                    }
-                }
-            }
-        }
-
-        // Condition 2: every checksum verifies over the record's fields and
-        // the stored predecessor checksums (attested prior checksums
-        // substitute for compacted-away predecessors).
-        for r in &prov.records {
-            self.check_signature(r, &index, prior, &mut v);
-            v.records_checked += 1;
-            v.participants.insert(r.participant);
-        }
-
-        // Reachability: everything presented must be part of the target's
-        // history (dangling records indicate insertion).
-        let mut reachable: HashSet<(ObjectId, u64)> = HashSet::new();
-        let mut queue = VecDeque::new();
-        queue.push_back((target, latest.seq_id));
-        while let Some(key) = queue.pop_front() {
-            if !reachable.insert(key) {
-                continue;
-            }
-            let Some(r) = index.get(&key) else { continue };
-            for input in &r.inputs {
-                if let Some(prev) = input.prev_seq {
-                    queue.push_back((input.oid, prev));
-                }
-            }
-        }
-        for r in &prov.records {
-            if !reachable.contains(&(r.output_oid, r.seq_id)) {
-                v.issues.push(TamperEvidence::ExtraneousRecord {
-                    oid: r.output_oid,
-                    seq: r.seq_id,
-                });
-            }
-        }
-
-        v
+        stream.finish(object_hash)
     }
 
     /// Like [`Self::verify`], but for provenance collected from a durable
@@ -694,25 +633,19 @@ impl<'a> Verifier<'a> {
         prov: &ProvenanceObject,
         report: &tep_storage::RecoveryReport,
     ) -> Verification {
-        let mut v = self.verify(object_hash, prov);
-        if report.is_degraded() {
-            // Count only *corruption* gaps: compaction-excised ranges are
-            // intentional holes (attested by the compaction stamp), not
-            // quarantined damage.
-            let evidence = TamperEvidence::StorageQuarantine {
-                gaps: report.corruption_gaps() as u64 + report.decode_failures,
-                bytes: report.quarantined_bytes,
-            };
-            if let Some(obs) = &self.obs {
-                obs.evidence.record(evidence.kind());
-                if v.verified() {
-                    // The quarantine finding flips this run to tampered.
-                    obs.tampered_runs.inc();
-                }
+        self.observed(|| {
+            let mut v = self.verify_chains(object_hash, prov, HashMap::new());
+            if report.is_degraded() {
+                // Count only *corruption* gaps: compaction-excised ranges
+                // are intentional holes (attested by the compaction
+                // stamp), not quarantined damage.
+                v.issues.push(TamperEvidence::StorageQuarantine {
+                    gaps: report.corruption_gaps() as u64 + report.decode_failures,
+                    bytes: report.quarantined_bytes,
+                });
             }
-            v.issues.push(evidence);
-        }
-        v
+            v
+        })
     }
 
     /// Verifies many `(object hash, provenance object)` pairs concurrently
@@ -759,13 +692,7 @@ impl<'a> Verifier<'a> {
     /// undetectably until authenticated denial lands — every record it
     /// *does* return is still fully verified.
     pub fn verify_slice(&self, proof: &SliceProof) -> Verification {
-        let timer = self.obs.as_ref().map(|o| o.latency_ns.start_timer());
-        let v = self.verify_slice_inner(proof);
-        if let Some(obs) = &self.obs {
-            obs.record_outcome(&v);
-        }
-        drop(timer);
-        v
+        self.observed(|| self.verify_slice_inner(proof))
     }
 
     fn verify_slice_inner(&self, proof: &SliceProof) -> Verification {
@@ -837,8 +764,8 @@ impl<'a> Verifier<'a> {
                 |oid, seq| {
                     index
                         .get(&(oid, seq))
-                        .map(|p| p.checksum.clone())
-                        .or_else(|| boundary.get(&(oid, seq)).map(|c| c.to_vec()))
+                        .map(|p| p.checksum.as_slice())
+                        .or_else(|| boundary.get(&(oid, seq)).copied())
                 },
                 &mut v.issues,
             );
@@ -987,49 +914,10 @@ impl<'a> Verifier<'a> {
         v
     }
 
-    fn check_shape(&self, r: &ProvenanceRecord, v: &mut Verification) {
-        check_record_shape(r, &mut v.issues);
-    }
-
-    fn check_signature(
-        &self,
-        r: &ProvenanceRecord,
-        index: &HashMap<(ObjectId, u64), &ProvenanceRecord>,
-        prior: &HashMap<ObjectId, (u64, Vec<u8>)>,
-        v: &mut Verification,
-    ) {
-        check_record_signature(
-            self.keys,
-            self.alg,
-            r,
-            |oid, seq| {
-                index
-                    .get(&(oid, seq))
-                    .map(|p| p.checksum.clone())
-                    .or_else(|| {
-                        prior
-                            .get(&oid)
-                            .filter(|(s, _)| *s == seq)
-                            .map(|(_, c)| c.clone())
-                    })
-            },
-            &mut v.issues,
-        );
-    }
-
     /// Resolves the key directory for crate-internal verify surfaces
     /// (checkpoint-attested verification lives in `checkpoint.rs`).
     pub(crate) fn keys(&self) -> &KeyDirectory {
         self.keys
-    }
-
-    /// Records a finished verification in the attached observability (if
-    /// any) — for crate-internal verify surfaces built outside this
-    /// module.
-    pub(crate) fn record_outcome(&self, v: &Verification) {
-        if let Some(obs) = &self.obs {
-            obs.record_outcome(v);
-        }
     }
 
     /// Verifies a signed non-membership proof. A proof that fails — bad
@@ -1039,18 +927,15 @@ impl<'a> Verifier<'a> {
     /// claimed) server. An empty issue list means the denial is honest:
     /// the object provably has no leaf under the signed root.
     pub fn verify_denial(&self, denial: &crate::denial::SignedDenial) -> Verification {
-        let timer = self.obs.as_ref().map(|o| o.latency_ns.start_timer());
-        let mut v = Verification::default();
-        if denial.check(self.keys).is_err() {
-            v.issues.push(TamperEvidence::ForgedDenial {
-                oid: denial.proof.absent,
-            });
-        }
-        if let Some(obs) = &self.obs {
-            obs.record_outcome(&v);
-        }
-        drop(timer);
-        v
+        self.observed(|| {
+            let mut v = Verification::default();
+            if denial.check(self.keys).is_err() {
+                v.issues.push(TamperEvidence::ForgedDenial {
+                    oid: denial.proof.absent,
+                });
+            }
+            v
+        })
     }
 
     /// Verifies a range answer against its signed completeness proof.
@@ -1066,40 +951,37 @@ impl<'a> Verifier<'a> {
         range: &crate::denial::SignedRange,
         answered: &[ObjectId],
     ) -> Verification {
-        let timer = self.obs.as_ref().map(|o| o.latency_ns.start_timer());
-        let mut v = Verification::default();
-        match range.check(self.keys) {
-            Err(_) => {
-                v.issues.push(TamperEvidence::ForgedDenial {
-                    oid: range.proof.lo,
-                });
-            }
-            Ok(proven) => {
-                let proven_set: HashSet<ObjectId> = proven.iter().copied().collect();
-                let answered_set: HashSet<ObjectId> = answered.iter().copied().collect();
-                if proven.iter().any(|m| !answered_set.contains(m)) {
-                    v.issues.push(TamperEvidence::IncompleteResponse {
-                        lo: range.proof.lo,
-                        hi: range.proof.hi,
+        self.observed(|| {
+            let mut v = Verification::default();
+            match range.check(self.keys) {
+                Err(_) => {
+                    v.issues.push(TamperEvidence::ForgedDenial {
+                        oid: range.proof.lo,
                     });
                 }
-                for &extra in answered {
-                    if !proven_set.contains(&extra) {
-                        v.issues.push(TamperEvidence::ForgedDenial { oid: extra });
+                Ok(proven) => {
+                    let proven_set: HashSet<ObjectId> = proven.iter().copied().collect();
+                    let answered_set: HashSet<ObjectId> = answered.iter().copied().collect();
+                    if proven.iter().any(|m| !answered_set.contains(m)) {
+                        v.issues.push(TamperEvidence::IncompleteResponse {
+                            lo: range.proof.lo,
+                            hi: range.proof.hi,
+                        });
+                    }
+                    for &extra in answered {
+                        if !proven_set.contains(&extra) {
+                            v.issues.push(TamperEvidence::ForgedDenial { oid: extra });
+                        }
                     }
                 }
             }
-        }
-        if let Some(obs) = &self.obs {
-            obs.record_outcome(&v);
-        }
-        drop(timer);
-        v
+            v
+        })
     }
 }
 
 /// Checks one record's structural invariants for its kind; shared by the
-/// batch [`Verifier`] and the [`StreamingVerifier`].
+/// [`StreamingVerifier`] and [`Verifier::verify_slice`].
 fn check_record_shape(r: &ProvenanceRecord, issues: &mut Vec<TamperEvidence>) {
     let flag = |issues: &mut Vec<TamperEvidence>, why| {
         issues.push(TamperEvidence::MalformedRecord {
@@ -1138,14 +1020,14 @@ fn check_record_shape(r: &ProvenanceRecord, issues: &mut Vec<TamperEvidence>) {
 /// Checks one record's checksum signature, resolving predecessor checksums
 /// through `lookup_prev`; missing predecessors are R2/R7 evidence and skip
 /// the signature check (it could not possibly pass).
-fn check_record_signature(
+fn check_record_signature<'c>(
     keys: &KeyDirectory,
     alg: HashAlgorithm,
     r: &ProvenanceRecord,
-    lookup_prev: impl Fn(ObjectId, u64) -> Option<Vec<u8>>,
+    lookup_prev: impl Fn(ObjectId, u64) -> Option<&'c [u8]>,
     issues: &mut Vec<TamperEvidence>,
 ) {
-    let mut prev_checksums: Vec<Vec<u8>> = Vec::new();
+    let mut prev_checksums: Vec<&[u8]> = Vec::new();
     let mut resolvable = true;
     for input in &r.inputs {
         let Some(prev) = input.prev_seq else { continue };
@@ -1170,7 +1052,6 @@ fn check_record_signature(
         });
         return;
     }
-    let prev_refs: Vec<&[u8]> = prev_checksums.iter().map(Vec::as_slice).collect();
     let msg = checksum_message(
         alg,
         r.kind,
@@ -1179,7 +1060,7 @@ fn check_record_signature(
         r.output_oid,
         &r.output_hash,
         &r.annotation,
-        &prev_refs,
+        &prev_checksums,
     );
     if keys
         .verify_signature(r.participant, alg, &msg, &r.checksum)
@@ -1192,9 +1073,13 @@ fn check_record_signature(
     }
 }
 
-/// Incremental verifier for provenance that arrives **one record at a
-/// time** — e.g. over `tep-net` PROV frames — so a recipient can reject a
-/// transfer at the first bad record instead of buffering the whole history.
+/// The R1–R8 chain engine: verifies one object's provenance **one record
+/// at a time**. Every per-object verdict in the crate comes from here — a
+/// tep-net recipient or replica feeds it PROV frames as they arrive (and
+/// can reject a transfer at the first bad record instead of buffering the
+/// whole history), and [`Verifier::verify`] and its batch, parallel,
+/// recovered and checkpoint-attested variants push a buffered
+/// [`ProvenanceObject`] through it.
 ///
 /// Records must arrive sorted by `(output_oid, seq_id)`. That order is
 /// topological for the provenance DAG (an aggregate's inputs always carry
@@ -1204,12 +1089,19 @@ fn check_record_signature(
 /// from the order surfaces as `MissingRecord`/`BrokenChain` evidence —
 /// deviation is itself suspicious.
 ///
-/// On the same sorted input, [`finish`](Self::finish) reports the same
-/// issue multiset as [`Verifier::verify`] (ordering within the list may
-/// differ; both report *all* evidence found). One intentional difference:
-/// when the stream carried records but none for the target object, the
-/// batch verifier stops at `NoRecords` while the streaming verifier also
-/// retains the per-record evidence it already emitted.
+/// Per record, [`push_record`](Self::push_record) checks forks
+/// (`DuplicateRecord`), shape, the link to the chain's previous record,
+/// and the signature over the already-seen predecessor checksums;
+/// [`finish`](Self::finish) matches the newest target record against the
+/// delivered object and sweeps for records the target cannot reach. All
+/// evidence found is reported, not just the first.
+///
+/// A verifier built for checkpoint-attested batch verification also holds
+/// the sealed checkpoint's anchors, `(seq, checksum)` per object. They are
+/// consulted only where a record would otherwise miss its predecessor: at
+/// chain start and for signature lookups. An anchor never becomes a chain
+/// tail or a seen checksum, so a record still sitting at an anchored slot
+/// is not a duplicate.
 pub struct StreamingVerifier<'a> {
     keys: &'a KeyDirectory,
     alg: HashAlgorithm,
@@ -1217,27 +1109,60 @@ pub struct StreamingVerifier<'a> {
     issues: Vec<TamperEvidence>,
     records_checked: usize,
     participants: BTreeSet<ParticipantId>,
-    /// Checksums of every accepted record, for predecessor resolution.
-    checksums: HashMap<(ObjectId, u64), Vec<u8>>,
+    /// Every accepted record slot, for fork detection, predecessor
+    /// resolution and the final reachability sweep.
+    seen: HashMap<RecordSlot, Seen<'a>>,
+    /// Predecessor slots of every accepted record, indexed by
+    /// [`Seen::preds`] (one buffer instead of one allocation per record).
+    preds: Vec<RecordSlot>,
     /// Push order (including duplicate slots), for reachability reporting.
-    order: Vec<(ObjectId, u64)>,
-    /// Predecessor edges for the final reachability sweep.
-    edges: HashMap<(ObjectId, u64), Vec<(ObjectId, u64)>>,
+    order: Vec<RecordSlot>,
     /// Highest sequence id seen so far per object chain.
     chain_tail: HashMap<ObjectId, u64>,
     /// `(seq_id, output_hash)` of the newest target record.
     latest_target: Option<(u64, Vec<u8>)>,
     /// Rolling digest of the accepted records' canonical bytes, for
     /// proving a resume point to a sender ([`Self::stream_digest`]).
-    digest: RecordStreamDigest,
+    /// `None` for batch verification, which never resumes.
+    digest: Option<RecordStreamDigest>,
+    /// Attested prior slots, `oid → (seq, checksum)`, from a sealed
+    /// compaction checkpoint (empty unless built by
+    /// [`Verifier::verify_through_checkpoint`]).
+    anchors: HashMap<ObjectId, (u64, &'a [u8])>,
     /// Optional tep-obs instrumentation (shared counter names with the
     /// batch [`Verifier`]).
     obs: Option<VerifyObs>,
 }
 
+/// One accepted record slot of a [`StreamingVerifier`].
+struct Seen<'a> {
+    /// The record's checksum: borrowed from buffered provenance, owned
+    /// for records that arrive one frame at a time.
+    checksum: Cow<'a, [u8]>,
+    /// The record's predecessor slots, as a range of
+    /// `StreamingVerifier::preds`.
+    preds: Range<usize>,
+}
+
 impl<'a> StreamingVerifier<'a> {
     /// Starts verifying the history of `target`.
     pub fn new(keys: &'a KeyDirectory, alg: HashAlgorithm, target: ObjectId) -> Self {
+        StreamingVerifier {
+            digest: Some(RecordStreamDigest::new(alg, target)),
+            ..Self::for_batch(keys, alg, target, 0, HashMap::new())
+        }
+    }
+
+    /// A verifier for `records` buffered records: no resume digest (its
+    /// [`checkpoint`](Self::checkpoint) is `None`), tables sized up front,
+    /// and `anchors` as the attested fallback for excised predecessors.
+    pub(crate) fn for_batch(
+        keys: &'a KeyDirectory,
+        alg: HashAlgorithm,
+        target: ObjectId,
+        records: usize,
+        anchors: HashMap<ObjectId, (u64, &'a [u8])>,
+    ) -> Self {
         StreamingVerifier {
             keys,
             alg,
@@ -1245,12 +1170,13 @@ impl<'a> StreamingVerifier<'a> {
             issues: Vec::new(),
             records_checked: 0,
             participants: BTreeSet::new(),
-            checksums: HashMap::new(),
-            order: Vec::new(),
-            edges: HashMap::new(),
+            seen: HashMap::with_capacity(records),
+            preds: Vec::with_capacity(records),
+            order: Vec::with_capacity(records),
             chain_tail: HashMap::new(),
             latest_target: None,
-            digest: RecordStreamDigest::new(alg, target),
+            digest: None,
+            anchors,
             obs: None,
         }
     }
@@ -1281,15 +1207,18 @@ impl<'a> StreamingVerifier<'a> {
     /// this record produced (0 ⇒ clean so far), letting a transport abort
     /// mid-transfer and attribute the failure to this record's frame.
     pub fn push_record(&mut self, r: &ProvenanceRecord) -> usize {
+        self.push(r, Cow::Owned(r.checksum.clone()))
+    }
+
+    /// [`Self::push_record`] for a record that outlives the verifier, so
+    /// its checksum is borrowed rather than copied.
+    pub(crate) fn push_borrowed(&mut self, r: &'a ProvenanceRecord) -> usize {
+        self.push(r, Cow::Borrowed(&r.checksum))
+    }
+
+    fn push(&mut self, r: &ProvenanceRecord, checksum: Cow<'a, [u8]>) -> usize {
         let before = self.issues.len();
         let key = (r.output_oid, r.seq_id);
-
-        if self.checksums.contains_key(&key) {
-            self.issues.push(TamperEvidence::DuplicateRecord {
-                oid: key.0,
-                seq: key.1,
-            });
-        }
 
         check_record_shape(r, &mut self.issues);
 
@@ -1298,16 +1227,19 @@ impl<'a> StreamingVerifier<'a> {
             RecordKind::Insert | RecordKind::Aggregate => None,
             RecordKind::Update => r.inputs.first().and_then(|inp| inp.prev_seq),
         };
-        match self.chain_tail.get(&r.output_oid) {
+        match self.chain_tail.insert(r.output_oid, r.seq_id) {
             None => {
-                if let Some(prev) = links_to_prior {
+                // Chain start: a predecessor claim must be an attested
+                // prior slot (compacted away behind a sealed checkpoint).
+                let attested = |prev| self.anchors.get(&r.output_oid).is_some_and(|a| a.0 == prev);
+                if let Some(prev) = links_to_prior.filter(|&p| !attested(p)) {
                     self.issues.push(TamperEvidence::MissingRecord {
                         oid: r.output_oid,
                         seq: prev,
                     });
                 }
             }
-            Some(&prior) => match (r.kind, links_to_prior) {
+            Some(prior) => match (r.kind, links_to_prior) {
                 (RecordKind::Update, Some(prev)) if prev == prior => {}
                 _ => {
                     self.issues.push(TamperEvidence::BrokenChain {
@@ -1317,41 +1249,62 @@ impl<'a> StreamingVerifier<'a> {
                 }
             },
         }
-        self.chain_tail.insert(r.output_oid, r.seq_id);
 
         // Signature over the record's fields and already-seen predecessor
-        // checksums (topological order guarantees they have arrived).
-        let checksums = &self.checksums;
+        // checksums (topological order guarantees they have arrived), with
+        // attested checksums standing in for excised predecessors.
+        let (seen, anchors) = (&self.seen, &self.anchors);
         check_record_signature(
             self.keys,
             self.alg,
             r,
-            |oid, seq| checksums.get(&(oid, seq)).cloned(),
+            |oid, seq| {
+                seen.get(&(oid, seq)).map(|s| &*s.checksum).or_else(|| {
+                    anchors
+                        .get(&oid)
+                        .filter(|(s, _)| *s == seq)
+                        .map(|(_, c)| *c)
+                })
+            },
             &mut self.issues,
         );
 
-        self.checksums.insert(key, r.checksum.clone());
+        let start = self.preds.len();
+        self.preds.extend(
+            r.inputs
+                .iter()
+                .filter_map(|i| i.prev_seq.map(|p| (i.oid, p))),
+        );
+        let preds = start..self.preds.len();
+        if self.seen.insert(key, Seen { checksum, preds }).is_some() {
+            // A second record for an accepted slot: a forked chain. The
+            // later record's checksum and edges now stand for the slot.
+            self.issues.insert(
+                before,
+                TamperEvidence::DuplicateRecord {
+                    oid: key.0,
+                    seq: key.1,
+                },
+            );
+        }
         self.order.push(key);
-        let preds: Vec<(ObjectId, u64)> = r
-            .inputs
-            .iter()
-            .filter_map(|i| i.prev_seq.map(|p| (i.oid, p)))
-            .collect();
-        self.edges.insert(key, preds);
 
         if r.output_oid == self.target {
-            let newer = self
-                .latest_target
-                .as_ref()
-                .is_none_or(|(seq, _)| r.seq_id >= *seq);
-            if newer {
-                self.latest_target = Some((r.seq_id, r.output_hash.clone()));
+            match &mut self.latest_target {
+                Some((seq, hash)) if r.seq_id >= *seq => {
+                    *seq = r.seq_id;
+                    hash.clone_from(&r.output_hash);
+                }
+                Some(_) => {}
+                None => self.latest_target = Some((r.seq_id, r.output_hash.clone())),
             }
         }
 
         self.records_checked += 1;
         self.participants.insert(r.participant);
-        self.digest.push(&r.to_stored().to_bytes());
+        if let Some(digest) = &mut self.digest {
+            digest.push(&r.to_stored().to_bytes());
+        }
         let new_evidence = self.issues.len() - before;
         if let Some(obs) = &self.obs {
             obs.records.inc();
@@ -1364,15 +1317,19 @@ impl<'a> StreamingVerifier<'a> {
     /// so far — the proof-of-position a resumable transfer sends in its
     /// RESUME frame.
     pub fn stream_digest(&self) -> &[u8] {
-        self.digest.current()
+        self.digest
+            .as_ref()
+            .map_or(&[], RecordStreamDigest::current)
     }
 
     /// Serializes the verifier's full state into a sealed, self-
     /// authenticating blob (see
     /// [`VerifierCheckpoint`](crate::streaming::VerifierCheckpoint)), or
     /// `None` if any tamper evidence has been found — evidence is
-    /// terminal, never suspended and resumed past.
+    /// terminal, never suspended and resumed past — or the verifier was
+    /// built for batch verification and carries no resume digest.
     pub fn checkpoint(&self) -> Option<Vec<u8>> {
+        let digest = self.digest.as_ref()?;
         if !self.issues.is_empty() {
             return None;
         }
@@ -1381,21 +1338,22 @@ impl<'a> StreamingVerifier<'a> {
         let mut chain_tail: Vec<RecordSlot> =
             self.chain_tail.iter().map(|(&o, &s)| (o, s)).collect();
         chain_tail.sort();
-        let mut checksums: Vec<(RecordSlot, Vec<u8>)> = self
-            .checksums
+        let mut slots: Vec<(&RecordSlot, &Seen)> = self.seen.iter().collect();
+        slots.sort_by_key(|(k, _)| **k);
+        let checksums = slots
             .iter()
-            .map(|(&k, c)| (k, c.clone()))
+            .map(|(&k, s)| (k, s.checksum.to_vec()))
             .collect();
-        checksums.sort_by_key(|(k, _)| *k);
-        let mut edges: Vec<(RecordSlot, Vec<RecordSlot>)> =
-            self.edges.iter().map(|(&k, p)| (k, p.clone())).collect();
-        edges.sort_by_key(|(k, _)| *k);
+        let edges = slots
+            .iter()
+            .map(|(&k, s)| (k, self.preds[s.preds.clone()].to_vec()))
+            .collect();
         Some(
             VerifierCheckpoint {
                 alg: self.alg,
                 target: self.target,
                 records: self.records_checked as u64,
-                stream_digest: self.digest.current().to_vec(),
+                stream_digest: digest.current().to_vec(),
                 latest_target: self.latest_target.clone(),
                 participants,
                 chain_tail,
@@ -1415,20 +1373,38 @@ impl<'a> StreamingVerifier<'a> {
     /// same verdict as an uninterrupted run.
     pub fn restore(keys: &'a KeyDirectory, blob: &[u8]) -> Result<Self, CheckpointError> {
         let cp = VerifierCheckpoint::open(blob)?;
+        let mut seen: HashMap<RecordSlot, Seen> = cp
+            .checksums
+            .into_iter()
+            .map(|(k, c)| {
+                let checksum = Cow::Owned(c);
+                (
+                    k,
+                    Seen {
+                        checksum,
+                        preds: 0..0,
+                    },
+                )
+            })
+            .collect();
+        let mut preds = Vec::new();
+        for (k, p) in cp.edges {
+            if let Some(s) = seen.get_mut(&k) {
+                let start = preds.len();
+                preds.extend(p);
+                s.preds = start..preds.len();
+            }
+        }
         Ok(StreamingVerifier {
-            keys,
-            alg: cp.alg,
-            target: cp.target,
-            issues: Vec::new(),
             records_checked: cp.records as usize,
             participants: cp.participants.into_iter().collect(),
-            checksums: cp.checksums.into_iter().collect(),
+            seen,
+            preds,
             order: cp.order,
-            edges: cp.edges.into_iter().collect(),
             chain_tail: cp.chain_tail.into_iter().collect(),
             latest_target: cp.latest_target,
-            digest: RecordStreamDigest::resume(cp.alg, cp.stream_digest),
-            obs: None,
+            digest: Some(RecordStreamDigest::resume(cp.alg, cp.stream_digest)),
+            ..Self::for_batch(keys, cp.alg, cp.target, 0, HashMap::new())
         })
     }
 
@@ -1453,12 +1429,10 @@ impl<'a> StreamingVerifier<'a> {
             if !reachable.insert(key) {
                 continue;
             }
-            let Some(preds) = self.edges.get(&key) else {
+            let Some(s) = self.seen.get(&key) else {
                 continue;
             };
-            for &p in preds {
-                queue.push_back(p);
-            }
+            queue.extend(&self.preds[s.preds.clone()]);
         }
         for &(oid, seq) in &self.order {
             if !reachable.contains(&(oid, seq)) {
@@ -2021,6 +1995,157 @@ mod tests {
             v.issues,
             vec![TamperEvidence::NoRecords { oid: ObjectId(9) }]
         );
+    }
+
+    /// With no record for the target, batch verify reports `NoRecords`
+    /// together with the per-record evidence the other records carry —
+    /// the same verdict a stream of those records reaches.
+    #[test]
+    fn no_target_records_still_reports_per_record_evidence() {
+        let (mut w, d) = dag_world();
+        let mut prov = collect(w.tracker.db(), d).unwrap();
+        let hash = w.tracker.object_hash(d).unwrap();
+        prov.records.retain(|r| r.output_oid != d);
+        let (oid, seq) = (prov.records[0].output_oid, prov.records[0].seq_id);
+        prov.records[0].checksum[0] ^= 0x01;
+
+        let batch = Verifier::new(&w.keys, ALG).verify(&hash, &prov);
+        assert!(batch.issues.contains(&TamperEvidence::NoRecords { oid: d }));
+        assert!(batch
+            .issues
+            .contains(&TamperEvidence::BadSignature { oid, seq }));
+        assert_eq!(batch.records_checked, prov.records.len());
+
+        let mut sv = StreamingVerifier::new(&w.keys, ALG, d);
+        for r in &wire_order(&prov) {
+            sv.push_record(r);
+        }
+        assert_eq!(multiset(&sv.finish(&hash).issues), multiset(&batch.issues));
+    }
+
+    /// Every `Verifier` entry point records each finished verification
+    /// exactly once: each evidence counter equals the number of issues of
+    /// its kind, and runs, latency samples and tampered runs agree with
+    /// the verdicts returned.
+    #[test]
+    fn every_entry_point_counts_each_run_and_issue_once() {
+        use crate::checkpoint::{Checkpoint, TrustAnchor};
+        use crate::denial::{DenialProof, RangeProof, SignedDenial, SignedRange, SignedRoot};
+        use crate::merkle::shard_tree_of;
+        use crate::slice::QuerySpec;
+        use tep_storage::{GapKind, LogGap, RecoveryReport};
+
+        let (mut w, d) = dag_world();
+        let sealed = Checkpoint::capture(ALG, w.tracker.db(), 0)
+            .seal(&w.alice)
+            .unwrap();
+        w.tracker.update(&w.bob, d, Value::text("d2")).unwrap();
+        let hash = w.tracker.object_hash(d).unwrap();
+        let prov = collect(w.tracker.db(), d).unwrap();
+        // A flipped checksum at a sealed slot: BadSignature for it and its
+        // successor, CheckpointMismatch under the seal.
+        let mut tampered = prov.clone();
+        let bad = tampered.records.iter().position(|r| r.seq_id == 1).unwrap();
+        tampered.records[bad].checksum[0] ^= 0x01;
+
+        let degraded = RecoveryReport {
+            gaps: vec![LogGap {
+                kind: GapKind::Corruption,
+                preceding_frames: 1,
+                offset: 40,
+                bytes: 64,
+            }],
+            quarantined_bytes: 64,
+            ..RecoveryReport::default()
+        };
+        let stale = [TrustAnchor {
+            oid: d,
+            seq: 0,
+            checksum: vec![0; 4],
+        }];
+        let tree = shard_tree_of(ALG, w.tracker.db());
+        let root = SignedRoot::sign(&tree, w.tracker.db().len() as u64, &w.alice).unwrap();
+        let mut denial = SignedDenial {
+            root: root.clone(),
+            proof: DenialProof::prove(&tree, ObjectId(10_000)).unwrap(),
+        };
+        denial.root.log_records += 1;
+        let range = SignedRange {
+            root,
+            proof: RangeProof::prove(&tree, ObjectId(0), ObjectId(100)),
+        };
+        let mut slice_records = wire_order(&tampered);
+        slice_records.retain(|r| r.output_oid == d);
+        let slice = SliceProof {
+            spec: QuerySpec::new(QueryOp::Ancestors, d),
+            alg: ALG,
+            target_seq: 1,
+            records: slice_records,
+            boundary: Vec::new(),
+            answer: QueryAnswer::Objects(vec![ObjectId(99)]),
+        };
+        let jobs = vec![
+            (hash.clone(), tampered.clone()),
+            (hash.clone(), prov.clone()),
+        ];
+
+        type Run<'r> = Box<dyn Fn(&Verifier) -> Vec<Verification> + 'r>;
+        let entry_points: Vec<(&str, Run)> = vec![
+            ("verify", Box::new(|v| vec![v.verify(&hash, &tampered)])),
+            (
+                "verify_recovered",
+                Box::new(|v| {
+                    vec![
+                        v.verify_recovered(&hash, &prov, &degraded),
+                        v.verify_recovered(&hash, &tampered, &degraded),
+                    ]
+                }),
+            ),
+            (
+                "verify_all_parallel",
+                Box::new(|v| v.verify_all_parallel(&jobs, 2)),
+            ),
+            (
+                "verify_with_anchors",
+                Box::new(|v| vec![v.verify_with_anchors(&hash, &prov, &stale)]),
+            ),
+            (
+                "verify_through_checkpoint",
+                Box::new(|v| vec![v.verify_through_checkpoint(&hash, &tampered, &sealed)]),
+            ),
+            ("verify_slice", Box::new(|v| vec![v.verify_slice(&slice)])),
+            (
+                "verify_denial",
+                Box::new(|v| vec![v.verify_denial(&denial)]),
+            ),
+            (
+                "verify_range",
+                Box::new(|v| vec![v.verify_range(&range, &[ObjectId(9_999)])]),
+            ),
+        ];
+        for (name, run) in entry_points {
+            let registry = Registry::new();
+            let mut verifier = Verifier::new(&w.keys, ALG);
+            verifier.attach_obs(&registry);
+            let results = run(&verifier);
+            let issues: Vec<&TamperEvidence> = results.iter().flat_map(|v| &v.issues).collect();
+            assert!(!issues.is_empty(), "{name}: tampered input verified");
+            for kind in EvidenceKind::ALL {
+                let want = issues.iter().filter(|i| i.kind() == kind).count() as u64;
+                let got = registry.counter_value(&kind.counter_name());
+                assert_eq!(got, want, "{name}: {kind} counted {got}, reported {want}");
+            }
+            let runs = registry.counter_value("tep_core_verify_runs_total");
+            assert_eq!(runs, results.len() as u64, "{name}: runs");
+            let timed = registry.latency_histogram("tep_core_verify_ns").count();
+            assert_eq!(timed, runs, "{name}: latency samples");
+            let tampered_runs = results.iter().filter(|v| !v.verified()).count() as u64;
+            assert_eq!(
+                registry.counter_value("tep_core_verify_tampered_total"),
+                tampered_runs,
+                "{name}: tampered runs"
+            );
+        }
     }
 
     #[test]

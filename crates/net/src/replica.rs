@@ -478,7 +478,10 @@ impl Replica {
             .and_then(|blob| StreamingVerifier::restore(keys, &blob).ok())
             .filter(|v| self.checkpoint_covers_local(oid, v));
         match restored {
-            Some(v) => {
+            Some(mut v) => {
+                if let Some(reg) = &self.registry {
+                    v.attach_obs(reg);
+                }
                 let claimed = v.records_checked() as u64;
                 let digest = v.stream_digest().to_vec();
                 conn.writer.write_message(&Message::Resume {

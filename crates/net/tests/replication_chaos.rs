@@ -341,6 +341,56 @@ fn incremental_catch_up_resumes_every_object_from_its_checkpoint() {
     srv.shutdown();
 }
 
+/// A replica that resumes from its sealed checkpoint keeps its evidence
+/// accounting: a tampered record arriving after the RESUME handshake is
+/// counted under its kind exactly as often as it is reported.
+#[test]
+fn resumed_catch_up_counts_tamper_evidence_exactly() {
+    let mut w = build_primary(1000);
+    let srv = w.serve();
+    let (repl, vfs) = fresh_replica(srv.addr(), FaultConfig::default());
+    repl.catch_up(&w.keys).unwrap();
+    srv.shutdown();
+
+    let head = w.tracker.head_seq(w.a).unwrap();
+    for i in 0..3i64 {
+        w.tracker
+            .update(&w.signer, w.a, Value::Int(3000 + i))
+            .unwrap();
+    }
+    let srv = w.serve();
+    let proxy = TamperProxy::spawn(
+        srv.addr(),
+        tamper_mutator(Tamper::FlipOutputHash {
+            oid: w.a,
+            seq: head + 2,
+        }),
+    )
+    .unwrap();
+
+    let reg = Registry::new();
+    let mut repl = rebind(&repl, &vfs, proxy.addr());
+    repl.attach_obs(&reg);
+    let err = repl.catch_up(&w.keys).unwrap_err();
+    assert!(
+        reg.counter_value("tep_net_repl_checkpoint_resumes_total") >= 1,
+        "the tampered object must arrive over a resumed transfer"
+    );
+    let kinds = evidence_kinds(&err);
+    assert!(kinds.contains(&EvidenceKind::BadSignature), "{kinds:?}");
+    for kind in EvidenceKind::ALL {
+        let reported = kinds.iter().filter(|&&k| k == kind).count() as u64;
+        assert_eq!(
+            reg.counter_value(&kind.counter_name()),
+            reported,
+            "{kind}: counter disagrees with the reported evidence"
+        );
+    }
+    assert_verified_subset(repl.db(), &w.db);
+    proxy.shutdown();
+    srv.shutdown();
+}
+
 /// The tentpole crash sweep: a power cut at *every* Nth mutating storage
 /// op of a catch-up. After each cut the replica power-cycles, reopens
 /// through recovery, and must (a) hold only byte-identical verified
